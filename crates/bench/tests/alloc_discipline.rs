@@ -4,9 +4,11 @@
 //! regression that re-introduces per-request heap traffic fails CI, not
 //! just the benchmark narrative.
 //!
-//! The counters are process-global, so every test serializes on one lock
-//! and asserts *marginal* allocation rates with a small tolerance for
-//! harness bookkeeping on other threads.
+//! Each test reads the calling thread's counters
+//! ([`alloc_audit::thread_snapshot`]), so allocations on libtest's other
+//! threads cannot leak into a measurement. The tests still serialize on
+//! one lock, which tolerates poisoning so one failure cannot fail the
+//! rest, and assert *marginal* allocation rates with a small tolerance.
 
 use enw_bench::alloc_audit::{self, CountingAlloc};
 use enw_core::mann::memory::{DifferentiableMemory, Similarity};
@@ -16,12 +18,16 @@ use enw_core::serve::backend::{Backend, ServiceModel};
 use enw_core::serve::policy::{BatchPolicy, StationSpec};
 use enw_core::serve::request::{Output, Payload, Request};
 use enw_core::serve::scheduler::Server;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 static LOCK: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Constant-output backend: isolates the scheduler event loop from
 /// backend output allocation (labels are plain enum payloads).
@@ -63,16 +69,16 @@ fn serve_run_allocs(n: usize) -> u64 {
         BatchPolicy::new(8, 500, 64),
     )])
     .expect("one valid station");
-    let s0 = alloc_audit::snapshot();
+    let s0 = alloc_audit::thread_snapshot();
     let report = server.try_run_owned(reqs).expect("trace is valid");
-    let allocs = alloc_audit::snapshot().since(s0).allocs;
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert_eq!(report.responses.len(), n);
     allocs
 }
 
 #[test]
 fn serve_loop_allocates_nothing_per_request_after_warm_up() {
-    let _guard = LOCK.lock().expect("alloc test lock");
+    let _guard = serialize();
     let _ = serve_run_allocs(128); // warm-up: lazy statics, code paths
     let small = serve_run_allocs(256);
     let large = serve_run_allocs(2048);
@@ -85,7 +91,7 @@ fn serve_loop_allocates_nothing_per_request_after_warm_up() {
 
 #[test]
 fn mann_into_kernels_run_allocation_free_once_pools_are_warm() {
-    let _guard = LOCK.lock().expect("alloc test lock");
+    let _guard = serialize();
     let mut rng = Rng64::new(18);
     let mem = DifferentiableMemory::random(128, 32, &mut rng);
     let q: Vec<f32> = (0..32).map(|_| rng.uniform_f32() - 0.5).collect();
@@ -96,12 +102,12 @@ fn mann_into_kernels_run_allocation_free_once_pools_are_warm() {
         mem.soft_read_into(&w, &mut r);
     }
     let iters = 256;
-    let s0 = alloc_audit::snapshot();
+    let s0 = alloc_audit::thread_snapshot();
     for _ in 0..iters {
         mem.content_address_into(&q, Similarity::Cosine, 2.0, &mut w);
         mem.soft_read_into(&w, &mut r);
     }
-    let allocs = alloc_audit::snapshot().since(s0).allocs;
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert!(
         (allocs as f64) < 0.01 * iters as f64,
         "warm _into kernels made {allocs} allocations over {iters} iterations"
@@ -111,17 +117,17 @@ fn mann_into_kernels_run_allocation_free_once_pools_are_warm() {
 
 #[test]
 fn scratch_checkout_reuses_buffers_instead_of_allocating() {
-    let _guard = LOCK.lock().expect("alloc test lock");
+    let _guard = serialize();
     {
         let _warm = scratch::take_f32(1000); // provisions the size class
     }
     let iters = 256;
-    let s0 = alloc_audit::snapshot();
+    let s0 = alloc_audit::thread_snapshot();
     for _ in 0..iters {
         let buf = scratch::take_f32(1000);
         assert_eq!(buf.len(), 1000);
     }
-    let allocs = alloc_audit::snapshot().since(s0).allocs;
+    let allocs = alloc_audit::thread_snapshot().since(s0).allocs;
     assert!(
         (allocs as f64) < 0.01 * iters as f64,
         "warm scratch checkouts made {allocs} allocations over {iters} iterations"

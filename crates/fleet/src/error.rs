@@ -1,6 +1,6 @@
-//! Fleet-level error type, following the workspace's public-API
-//! conventions (DESIGN.md): data-shaped failures return `Result`,
-//! programming errors panic at the constructor.
+//! Fleet-level error type (DESIGN.md conventions): `Fleet::try_new` and
+//! `Fleet::try_run` return one for any spec or trace, never a panic; the
+//! lower-level constructors assert the same checks, as documented.
 
 use std::fmt;
 
@@ -9,8 +9,8 @@ use std::fmt;
 pub enum FleetError {
     /// The spec declared no lanes.
     NoLanes,
-    /// The spec is internally inconsistent (mismatched store/lane
-    /// wiring, replica bounds, …).
+    /// The spec is invalid: a batch, autoscale or store policy fails
+    /// its check, or replica bounds or store/lane wiring disagree.
     InvalidSpec {
         /// What exactly is inconsistent.
         reason: String,
@@ -47,3 +47,14 @@ impl fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+impl FleetError {
+    /// `Ok` when every `(holds, rule)` check holds, else an
+    /// [`FleetError::InvalidSpec`] naming `what` and the first broken rule.
+    pub(crate) fn check(what: &str, checks: &[(bool, &str)]) -> Result<(), FleetError> {
+        match checks.iter().find(|(holds, _)| !holds) {
+            Some((_, rule)) => Err(FleetError::InvalidSpec { reason: format!("{what}: {rule}") }),
+            None => Ok(()),
+        }
+    }
+}

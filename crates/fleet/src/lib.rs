@@ -24,7 +24,8 @@
 //!   streaks so a diurnal trough cannot flap the fleet.
 //! - [`traffic`] — shaped arrival traces carrying routable user keys.
 //! - [`sim`] — the event loop tying it together: admission via the
-//!   ring, per-replica batching, control epochs, and a byte-exact
+//!   ring, per-replica batching on `enw_serve`'s `StationCore`, control
+//!   epochs, and a byte-exact
 //!   [`FleetReport`](sim::FleetReport).
 //!
 //! Event order at any instant is fixed — completions, then control,

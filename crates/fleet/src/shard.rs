@@ -17,6 +17,7 @@
 //! cold shards get a single owner, and the store reports how many bytes
 //! a real cluster would have copied.
 
+use crate::error::FleetError;
 use crate::ring::{key_point, HashRing};
 use enw_numerics::rng::Rng64;
 use enw_parallel::{for_each_chunk_mut, scratch};
@@ -77,17 +78,24 @@ impl ShardSpec {
         self.tables * self.shards
     }
 
-    fn validate(&self) {
-        assert!(self.tables > 0, "a store needs at least one table");
-        assert!(self.rows_per_table > 0 && self.dim > 0, "tables must be non-empty");
-        assert!(self.lookups_per_table > 0, "queries must look something up");
-        assert!(
-            self.shards > 0 && self.shards <= self.rows_per_table,
-            "shards must be in 1..=rows"
-        );
-        assert!(self.replication > 0, "replication factor must be at least 1");
-        assert!((0.0..=1.0).contains(&self.hot_fraction), "hot_fraction must sit in [0, 1]");
-        assert!(self.cache_rows > 0, "per-shard caches need capacity");
+    /// Checks non-empty tables, lookups and caches, `1 <= shards <= rows`,
+    /// replication at least 1 and `hot_fraction` in `[0, 1]`.
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
+        FleetError::check(
+            "shard spec",
+            &[
+                (self.tables > 0, "a store needs at least one table"),
+                (self.rows_per_table > 0 && self.dim > 0, "tables must be non-empty"),
+                (self.lookups_per_table > 0, "queries must look something up"),
+                (
+                    self.shards > 0 && self.shards <= self.rows_per_table,
+                    "shards must be in 1..=rows",
+                ),
+                (self.replication > 0, "replication factor must be at least 1"),
+                ((0.0..=1.0).contains(&self.hot_fraction), "hot_fraction must sit in [0, 1]"),
+                (self.cache_rows > 0, "per-shard caches need capacity"),
+            ],
+        )
     }
 }
 
@@ -140,9 +148,11 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is internally inconsistent (see [`ShardSpec`]).
+    /// Panics if the spec is inconsistent: the checks `Fleet::try_new`
+    /// reports as [`FleetError::InvalidSpec`].
     pub fn new(spec: ShardSpec, seed: u64) -> Self {
-        spec.validate();
+        let verdict = spec.validate();
+        assert!(verdict.is_ok(), "{verdict:?}");
         let mut rng = Rng64::new(seed);
         let tables: Vec<EmbeddingTable> = (0..spec.tables)
             .map(|_| EmbeddingTable::random(spec.rows_per_table, spec.dim, &mut rng))

@@ -5,11 +5,10 @@
 //! An arrival hashes its user key onto the ring; the bounded-load pick
 //! walks clockwise past full replicas and rejects only when the whole
 //! lane is at capacity (admission control). Replicas micro-batch their
-//! queues exactly like `serve` stations (size-or-timeout closing,
-//! deadline shedding at batch start); a sharded lane additionally pays
-//! for its batch's embedding fan-out — distinct shard owners touched and
-//! cache misses, priced per event — through the
-//! [`ShardedStore`](crate::shard::ShardedStore).
+//! queues exactly like `serve` stations, because they run the same
+//! [`StationCore`]; a sharded lane additionally pays for its batch's
+//! embedding fan-out — distinct shard owners touched and cache misses,
+//! priced per event — through the [`ShardedStore`](crate::shard::ShardedStore).
 //!
 //! At every control epoch the per-lane [`Autoscaler`] reads queue depth,
 //! the epoch p99 and drop counts, and may add or retire one replica;
@@ -19,14 +18,12 @@
 //! fleet run is a pure function of `(spec, trace)`, bit-identical across
 //! reruns and `ENW_THREADS` settings.
 
-use std::collections::VecDeque;
-
 use crate::autoscale::{AutoscalePolicy, Autoscaler, EpochSignals, ScaleDecision};
 use crate::error::FleetError;
 use crate::ring::{key_point, HashRing};
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::traffic::FleetRequest;
-use enw_serve::{BatchPolicy, ServiceModel, StationMetrics, VirtualClock};
+use enw_serve::{BatchPolicy, ServiceModel, StationCore, StationMetrics, VirtualClock};
 use enw_trace::Histogram;
 
 /// Probe keys hashed to price a membership change (`keys_moved` is the
@@ -74,21 +71,12 @@ pub struct FleetSpec {
 #[derive(Debug)]
 struct Replica {
     id: u32,
-    queue: VecDeque<FleetRequest>,
-    batch: Vec<FleetRequest>,
-    done_at: Option<u64>,
-    metrics: StationMetrics,
+    station: StationCore<FleetRequest>,
 }
 
 impl Replica {
-    fn new(lane: &str, id: u32, policy: &BatchPolicy) -> Self {
-        Replica {
-            id,
-            queue: VecDeque::with_capacity(policy.queue_cap),
-            batch: Vec::with_capacity(policy.max_batch),
-            done_at: None,
-            metrics: StationMetrics::new(&format!("{lane}/n{id}")),
-        }
+    fn new(lane: &str, id: u32, policy: BatchPolicy) -> Self {
+        Replica { id, station: StationCore::new(&format!("{lane}/n{id}"), policy) }
     }
 }
 
@@ -122,11 +110,10 @@ struct Lane {
 
 impl Lane {
     fn new(spec: LaneSpec) -> Self {
-        assert!(spec.initial_replicas > 0, "a lane needs at least one initial replica");
         let scaler = Autoscaler::new(spec.autoscale);
         let ring = HashRing::with_nodes(spec.vnodes, spec.initial_replicas as u32);
         let replicas = (0..spec.initial_replicas as u32)
-            .map(|id| Replica::new(&spec.name, id, &spec.policy))
+            .map(|id| Replica::new(&spec.name, id, spec.policy))
             .collect();
         Lane {
             next_epoch_ns: spec.autoscale.epoch_ns,
@@ -156,14 +143,6 @@ impl Lane {
     fn integrate_to(&mut self, t: u64) {
         self.node_ns += (t - self.last_t_ns) as u128 * self.replicas.len() as u128;
         self.last_t_ns = t;
-    }
-
-    fn queued(&self) -> usize {
-        self.replicas.iter().map(|r| r.queue.len()).sum()
-    }
-
-    fn busy(&self) -> bool {
-        self.replicas.iter().any(|r| r.done_at.is_some() || !r.queue.is_empty())
     }
 }
 
@@ -301,29 +280,25 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`FleetError::NoLanes`] for an empty spec and
-    /// [`FleetError::InvalidSpec`] when replica bounds or store/lane
-    /// wiring are inconsistent.
+    /// [`FleetError::InvalidSpec`] when a batch policy, autoscale policy,
+    /// replica bound, store spec or the store/lane wiring is invalid.
     pub fn try_new(spec: FleetSpec) -> Result<Fleet, FleetError> {
         if spec.lanes.is_empty() {
             return Err(FleetError::NoLanes);
         }
         let sharded: Vec<usize> =
             spec.lanes.iter().enumerate().filter_map(|(i, l)| l.sharded.then_some(i)).collect();
-        match (spec.store.is_some(), sharded.len()) {
-            (true, 1) | (false, 0) => {}
-            (true, n) => {
-                return Err(FleetError::InvalidSpec {
-                    reason: format!("a store needs exactly one sharded lane, found {n}"),
-                })
-            }
-            (false, _) => {
-                return Err(FleetError::InvalidSpec {
-                    reason: "sharded lanes need a store spec".to_string(),
-                })
-            }
+        if sharded.len() != usize::from(spec.store.is_some()) {
+            return Err(FleetError::InvalidSpec {
+                reason: format!("{} sharded lanes need as many stores (0 or 1)", sharded.len()),
+            });
         }
         for l in &spec.lanes {
+            l.policy
+                .validate()
+                .map_err(|e| FleetError::InvalidSpec { reason: format!("lane {}: {e}", l.name) })?;
             let a = &l.autoscale;
+            a.validate()?;
             if l.initial_replicas < a.min_replicas || l.initial_replicas > a.max_replicas {
                 return Err(FleetError::InvalidSpec {
                     reason: format!(
@@ -333,6 +308,7 @@ impl Fleet {
                 });
             }
         }
+        spec.store.as_ref().map_or(Ok(()), ShardSpec::validate)?;
         let seed = spec.seed;
         let mut store = spec.store.map(|s| ShardedStore::new(s, seed));
         let lanes: Vec<Lane> = spec.lanes.into_iter().map(Lane::new).collect();
@@ -352,12 +328,9 @@ impl Fleet {
     /// [`FleetError::UnknownLane`] when the trace does not fit this
     /// fleet; the fleet itself is consumed either way.
     pub fn try_run(mut self, trace: &[FleetRequest]) -> Result<FleetReport, FleetError> {
-        for (i, w) in trace.windows(2).enumerate() {
-            if let [a, b] = w {
-                if a.arrival_ns > b.arrival_ns {
-                    return Err(FleetError::UnsortedTrace { position: i + 1 });
-                }
-            }
+        let unsorted = |w: &[FleetRequest]| matches!(w, [a, b] if a.arrival_ns > b.arrival_ns);
+        if let Some(i) = trace.windows(2).position(unsorted) {
+            return Err(FleetError::UnsortedTrace { position: i + 1 });
         }
         if let Some(r) = trace.iter().find(|r| r.lane >= self.lanes.len()) {
             return Err(FleetError::UnknownLane {
@@ -370,21 +343,16 @@ impl Fleet {
         let mut clock = VirtualClock::new();
         let mut next_arrival = 0usize;
         loop {
-            let work_left = next_arrival < trace.len() || self.lanes.iter().any(Lane::busy);
-            let mut next: Option<u64> = trace.get(next_arrival).map(|r| r.arrival_ns);
-            for lane in &self.lanes {
-                for rep in &lane.replicas {
-                    if let Some(done) = rep.done_at {
-                        next = min_opt(next, done);
-                    } else if let Some(front) = rep.queue.front() {
-                        next = min_opt(next, front.arrival_ns + lane.spec.policy.max_wait_ns);
-                    }
-                }
-                if work_left {
-                    next = min_opt(next, lane.next_epoch_ns);
-                }
-            }
-            let Some(t) = next else { break };
+            let work_left = next_arrival < trace.len()
+                || self.lanes.iter().flat_map(|l| &l.replicas).any(|r| !r.station.is_idle());
+            let arrival = trace.get(next_arrival).map(|r| r.arrival_ns);
+            let replica_events = self.lanes.iter().flat_map(|lane| {
+                lane.replicas.iter().filter_map(|rep| rep.station.next_event_ns())
+            });
+            let epochs = self.lanes.iter().filter(|_| work_left).map(|lane| lane.next_epoch_ns);
+            let Some(t) = arrival.into_iter().chain(replica_events).chain(epochs).min() else {
+                break;
+            };
             clock.advance_to(t);
             self.complete(t);
             self.control(t);
@@ -410,7 +378,7 @@ impl Fleet {
             .map(|lane| {
                 let mut metrics = lane.folded;
                 for rep in &lane.replicas {
-                    absorb(&mut metrics, &rep.metrics);
+                    metrics.merge(rep.station.metrics());
                 }
                 LaneReport {
                     name: lane.spec.name,
@@ -429,33 +397,21 @@ impl Fleet {
         Ok(FleetReport { duration_ns: t_end, lanes, shard })
     }
 
-    /// Finishes every batch due at `t`: on-time requests complete, late
-    /// ones count as deadline misses; either way the latency lands in
-    /// the replica's and the epoch's histograms.
+    /// Finishes every batch due at `t`, feeding the epoch's signals.
     fn complete(&mut self, t: u64) {
         for lane in &mut self.lanes {
-            for rep in lane.replicas.iter_mut() {
-                if rep.done_at != Some(t) {
-                    continue;
-                }
-                rep.done_at = None;
-                for r in rep.batch.drain(..) {
-                    let latency = t - r.arrival_ns;
-                    if t > r.deadline_ns {
-                        rep.metrics.deadline_misses += 1;
-                    } else {
-                        rep.metrics.completed += 1;
-                    }
-                    rep.metrics.record_latency(latency);
-                    lane.epoch_hist.record(latency);
-                    lane.epoch_served += 1;
-                    if !lane.spec.sharded {
+            let Lane { spec, replicas, epoch_hist, epoch_served, checksum, .. } = lane;
+            for rep in replicas.iter_mut() {
+                rep.station.complete(t, |r, _late, latency| {
+                    epoch_hist.record(latency);
+                    *epoch_served += 1;
+                    if !spec.sharded {
                         // Sharded lanes fold their pooled-output bits at
                         // batch start; plain lanes fold completion
                         // identities here.
-                        lane.checksum = lane.checksum.rotate_left(1) ^ key_point(r.user ^ t);
+                        *checksum = checksum.rotate_left(1) ^ key_point(r.user ^ t);
                     }
-                }
+                });
             }
         }
     }
@@ -468,56 +424,42 @@ impl Fleet {
             }
             let signals = EpochSignals {
                 replicas: lane.replicas.len(),
-                queued: lane.queued(),
+                queued: lane.replicas.iter().map(|r| r.station.queued()).sum(),
                 queue_cap: lane.replicas.len() * lane.spec.policy.queue_cap,
                 epoch_p99_ns: lane.epoch_hist.percentile(99.0),
                 served: lane.epoch_served,
                 dropped: lane.epoch_dropped,
             };
             let sharded = self.sharded_lane == Some(li);
-            match lane.scaler.observe(&signals) {
-                ScaleDecision::Up => {
-                    lane.integrate_to(t);
-                    let before = lane.ring.clone();
+            let decision = lane.scaler.observe(&signals);
+            // Scale-down retires the highest-id idle replica; with none
+            // idle the decision is dropped (never kill in-flight work).
+            let retire = (decision == ScaleDecision::Down)
+                .then(|| lane.replicas.iter().rposition(|r| r.station.is_idle()))
+                .flatten();
+            if decision == ScaleDecision::Up || retire.is_some() {
+                lane.integrate_to(t);
+                let before = lane.ring.clone();
+                if let Some(pos) = retire {
+                    let rep = lane.replicas.remove(pos);
+                    lane.ring.remove_node(rep.id);
+                    lane.folded.merge(rep.station.metrics());
+                    lane.scale_downs += 1;
+                } else {
                     let id = lane.next_id;
                     lane.next_id += 1;
                     lane.ring.add_node(id);
-                    lane.replicas.push(Replica::new(&lane.spec.name, id, &lane.spec.policy));
+                    lane.replicas.push(Replica::new(&lane.spec.name, id, lane.spec.policy));
                     lane.replicas_peak = lane.replicas_peak.max(lane.replicas.len());
                     lane.scale_ups += 1;
-                    lane.keys_moved += before.moved_keys(&lane.ring, REBALANCE_PROBES);
-                    if sharded {
-                        if let Some(st) = self.store.as_mut() {
-                            lane.moved_bytes += st.rebalance(lane.ring.nodes()).moved_bytes;
-                        }
-                    }
-                    enw_trace::counter_add("fleet.scale_ups", 1);
                 }
-                ScaleDecision::Down => {
-                    // Retire the highest-id replica that is idle with an
-                    // empty queue; if none is drainable, drop the
-                    // decision (never kill in-flight work).
-                    let candidate = lane
-                        .replicas
-                        .iter()
-                        .rposition(|r| r.done_at.is_none() && r.queue.is_empty());
-                    if let Some(pos) = candidate {
-                        lane.integrate_to(t);
-                        let before = lane.ring.clone();
-                        let rep = lane.replicas.remove(pos);
-                        lane.ring.remove_node(rep.id);
-                        absorb(&mut lane.folded, &rep.metrics);
-                        lane.scale_downs += 1;
-                        lane.keys_moved += before.moved_keys(&lane.ring, REBALANCE_PROBES);
-                        if sharded {
-                            if let Some(st) = self.store.as_mut() {
-                                lane.moved_bytes += st.rebalance(lane.ring.nodes()).moved_bytes;
-                            }
-                        }
-                        enw_trace::counter_add("fleet.scale_downs", 1);
-                    }
+                lane.keys_moved += before.moved_keys(&lane.ring, REBALANCE_PROBES);
+                if let Some(st) = self.store.as_mut().filter(|_| sharded) {
+                    lane.moved_bytes += st.rebalance(lane.ring.nodes()).moved_bytes;
                 }
-                ScaleDecision::Hold => {}
+                let counter =
+                    if retire.is_some() { "fleet.scale_downs" } else { "fleet.scale_ups" };
+                enw_trace::counter_add(counter, 1);
             }
             lane.epoch_hist = Histogram::new();
             lane.epoch_served = 0;
@@ -540,7 +482,7 @@ impl Fleet {
                 let reps = &lane.replicas;
                 lane.ring.pick_bounded(r.user, cap, |id| {
                     match reps.binary_search_by_key(&id, |rep| rep.id) {
-                        Ok(p) => reps[p].queue.len(),
+                        Ok(p) => reps[p].station.queued(),
                         // Ring and replica set are kept in lockstep;
                         // treat a stranger as full just in case.
                         Err(_) => cap,
@@ -550,9 +492,10 @@ impl Fleet {
             match pick {
                 Some(id) => {
                     if let Ok(p) = lane.replicas.binary_search_by_key(&id, |rep| rep.id) {
-                        let rep = &mut lane.replicas[p];
-                        rep.metrics.arrived += 1;
-                        rep.queue.push_back(r);
+                        // The pick skips full replicas, so this admits.
+                        if lane.replicas[p].station.admit(r).is_err() {
+                            lane.epoch_dropped += 1;
+                        }
                     }
                 }
                 None => {
@@ -565,62 +508,32 @@ impl Fleet {
         i
     }
 
-    /// Closes batches on every idle replica whose queue is full enough
-    /// or whose oldest request has waited out `max_wait_ns`; requests
-    /// already past their deadline are shed instead of served.
+    /// Closes every due batch and prices it. A close that sheds its whole
+    /// batch leaves the replica idle, so each replica closes until it is
+    /// busy or has nothing due.
     fn start_batches(&mut self, t: u64) {
         for (li, lane) in self.lanes.iter_mut().enumerate() {
             let sharded = self.sharded_lane == Some(li);
-            let policy = lane.spec.policy;
-            let service = lane.spec.service;
-            for rp in 0..lane.replicas.len() {
-                loop {
-                    let rep = &mut lane.replicas[rp];
-                    if rep.done_at.is_some() || rep.queue.is_empty() {
-                        break;
-                    }
-                    let oldest = match rep.queue.front() {
-                        Some(front) => front.arrival_ns,
-                        None => break,
-                    };
-                    let close =
-                        rep.queue.len() >= policy.max_batch || oldest + policy.max_wait_ns <= t;
-                    if !close {
-                        break;
-                    }
-                    rep.batch.clear();
-                    let mut shed_now = 0u64;
-                    while rep.batch.len() < policy.max_batch {
-                        let Some(r) = rep.queue.pop_front() else { break };
-                        if r.deadline_ns <= t {
-                            rep.metrics.shed += 1;
-                            shed_now += 1;
-                        } else {
-                            rep.batch.push(r);
-                        }
-                    }
-                    lane.epoch_dropped += shed_now;
-                    let b = lane.replicas[rp].batch.len();
-                    if b == 0 {
-                        // Everything pulled was already dead; the queue
-                        // may still hold serviceable requests.
+            let Lane { spec, replicas, users, checksum, epoch_dropped, .. } = lane;
+            for rep in replicas.iter_mut() {
+                while rep.station.can_close(t) {
+                    let batch = rep.station.close(t, |_, shed| *epoch_dropped += u64::from(shed));
+                    if batch.is_empty() {
                         continue;
                     }
-                    let mut ns = service.ns(b);
+                    let mut ns = spec.service.ns(batch.len());
                     if sharded {
-                        lane.users.clear();
-                        lane.users.extend(lane.replicas[rp].batch.iter().map(|r| r.user));
+                        users.clear();
+                        users.extend(batch.iter().map(|r| r.user));
                         if let Some(st) = self.store.as_mut() {
-                            let cost = st.pool_batch(&lane.users);
+                            let cost = st.pool_batch(users);
                             ns = ns
-                                .saturating_add(lane.spec.fanout_ns * cost.owner_touches)
-                                .saturating_add(lane.spec.miss_ns * cost.misses);
-                            lane.checksum = lane.checksum.rotate_left(1) ^ cost.checksum;
+                                .saturating_add(spec.fanout_ns * cost.owner_touches)
+                                .saturating_add(spec.miss_ns * cost.misses);
+                            *checksum = checksum.rotate_left(1) ^ cost.checksum;
                         }
                     }
-                    let rep = &mut lane.replicas[rp];
-                    rep.metrics.batches += 1;
-                    rep.done_at = Some(t.saturating_add(ns.max(1)));
+                    rep.station.start(t, ns);
                 }
             }
         }
@@ -634,27 +547,6 @@ impl Fleet {
 /// Propagates [`Fleet::try_new`] and [`Fleet::try_run`] errors.
 pub fn try_run(spec: FleetSpec, trace: &[FleetRequest]) -> Result<FleetReport, FleetError> {
     Fleet::try_new(spec)?.try_run(trace)
-}
-
-fn min_opt(a: Option<u64>, b: u64) -> Option<u64> {
-    Some(match a {
-        Some(a) => a.min(b),
-        None => b,
-    })
-}
-
-/// Folds `m`'s counters and latencies into `into`.
-fn absorb(into: &mut StationMetrics, m: &StationMetrics) {
-    into.arrived += m.arrived;
-    into.rejected += m.rejected;
-    into.shed += m.shed;
-    into.completed += m.completed;
-    into.deadline_misses += m.deadline_misses;
-    into.batches += m.batches;
-    into.degraded_batches += m.degraded_batches;
-    into.fallback_switches += m.fallback_switches;
-    into.recoveries += m.recoveries;
-    into.latencies.merge(&m.latencies);
 }
 
 #[cfg(test)]
@@ -843,6 +735,79 @@ mod tests {
         let mut bad_initial = spec(4);
         bad_initial.lanes[0].initial_replicas = 9;
         assert!(matches!(try_run(bad_initial, &[]), Err(FleetError::InvalidSpec { .. })));
+        // Each of these panicked or hung instead of returning an error.
+        let mut empty_batches = spec(4);
+        empty_batches.lanes[0].policy.max_batch = 0;
+        let mut zero_epoch = spec(4);
+        zero_epoch.lanes[1].autoscale.epoch_ns = 0;
+        let mut no_tables = spec(4);
+        no_tables.store = Some(ShardSpec { tables: 0, ..store() });
+        for bad in [empty_batches, zero_epoch, no_tables] {
+            let err = try_run(bad, &trace(50_000.0, 1_000_000, 8));
+            assert!(matches!(err, Err(FleetError::InvalidSpec { .. })), "{err:?}");
+        }
+    }
+
+    /// Minimal serve backend priced like a fleet lane.
+    struct Priced(ServiceModel);
+
+    impl enw_serve::Backend for Priced {
+        fn name(&self) -> &str {
+            "priced"
+        }
+        fn service_ns(&self, batch: usize) -> u64 {
+            self.0.ns(batch)
+        }
+        fn serve(&mut self, batch: &[enw_serve::Request]) -> Vec<enw_serve::Output> {
+            batch.iter().map(|_| enw_serve::Output::Label(None)).collect()
+        }
+        fn make_payload(&self, _rng: &mut enw_numerics::rng::Rng64) -> enw_serve::Payload {
+            enw_serve::Payload::Features(Vec::new())
+        }
+    }
+
+    #[test]
+    fn unbounded_wait_matches_a_one_station_serve_run() {
+        // `max_wait_ns = u64::MAX` closes by size only; the timeout must
+        // saturate rather than wrap into an immediate close. One replica
+        // then has to behave exactly like one serve station.
+        let mut lane = plain_lane(1);
+        lane.initial_replicas = 1;
+        lane.policy = BatchPolicy::new(4, u64::MAX, 16);
+        let fleet = FleetSpec { lanes: vec![lane.clone()], store: None, seed: 0 };
+        let reqs: Vec<FleetRequest> = (0..8u64)
+            .map(|k| FleetRequest {
+                id: k,
+                lane: 0,
+                user: k,
+                arrival_ns: 5_000 + 10_000 * k,
+                deadline_ns: 105_000 + 10_000 * k,
+            })
+            .collect();
+        let got = try_run(fleet, &reqs).expect("valid spec");
+        let serve_trace: Vec<enw_serve::Request> = reqs
+            .iter()
+            .map(|r| enw_serve::Request {
+                id: r.id,
+                station: 0,
+                payload: enw_serve::Payload::Features(Vec::new()),
+                arrival_ns: r.arrival_ns,
+                deadline_ns: r.deadline_ns,
+            })
+            .collect();
+        let station = enw_serve::StationSpec::simple(Box::new(Priced(lane.service)), lane.policy);
+        let want = enw_serve::Server::try_new(vec![station])
+            .and_then(|s| s.try_run(&serve_trace))
+            .expect("valid station");
+        let (g, w) = (&got.lanes[0].metrics, &want.stations[0]);
+        assert_eq!(g.batches, 2, "two full batches, none closed early");
+        assert!(g.deadline_misses > 0 && g.completed > 0, "fixture mixes on-time and late");
+        assert_eq!(
+            (g.arrived, g.completed, g.deadline_misses, g.shed, g.rejected, g.batches),
+            (w.arrived, w.completed, w.deadline_misses, w.shed, w.rejected, w.batches)
+        );
+        assert_eq!(g.summary(), w.summary());
+        assert_eq!(got.duration_ns, want.duration_ns);
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! Fleet-level load generation: shaped arrivals carrying routable user
 //! keys.
 //!
-//! The fleet reuses `serve`'s open-loop generator contract (one shape
-//! draw, one class pick, one user draw per arrival, all from a single
-//! seeded stream) but its requests carry a *user key* instead of a
-//! payload: the router hashes it, the sharded store derives the user's
+//! The fleet runs `serve`'s open-loop arrival process
+//! ([`enw_serve::generate_arrivals`]: one shape draw, one class pick, one
+//! user draw per arrival, all from a single seeded stream) but its
+//! requests carry a *user key* instead of a payload: the router hashes it, the sharded store derives the user's
 //! embedding lookups from it, and popularity skew in the
 //! [`UserSampler`](crate::shape::UserSampler) is what turns traffic
 //! shape into shard heat.
 
 use crate::shape::UserSampler;
-use enw_numerics::rng::Rng64;
-use enw_serve::clock::ns_from_secs;
-use enw_serve::LoadShape;
+use enw_serve::{generate_arrivals, LoadShape, Queued};
 
 /// One routed request. No payload: everything a replica serves is a
 /// deterministic function of `(user, lane)`, which is what keeps the
@@ -29,6 +27,15 @@ pub struct FleetRequest {
     pub arrival_ns: u64,
     /// Latency budget: completions after this are deadline misses.
     pub deadline_ns: u64,
+}
+
+impl Queued for FleetRequest {
+    fn arrival_ns(&self) -> u64 {
+        self.arrival_ns
+    }
+    fn deadline_ns(&self) -> u64 {
+        self.deadline_ns
+    }
 }
 
 /// One slice of the fleet traffic mix.
@@ -52,57 +59,28 @@ pub struct FleetLoadSpec {
 }
 
 /// Generates a fleet arrival trace: inter-arrival gaps from `shape`,
-/// lanes picked by class weight, user keys from `users`. Draw order is
-/// fixed (gap, class, user), so shapes and mixes compose without
-/// perturbing each other's randomness.
+/// lanes picked by class weight, then user keys from `users`.
 ///
 /// # Panics
 ///
-/// Panics if `classes` is empty, any weight is non-positive, or the
-/// shape produces a non-positive or non-finite gap.
+/// Panics as [`generate_arrivals`] does.
 pub fn generate_fleet_trace(
     spec: &FleetLoadSpec,
     classes: &[FleetClass],
     shape: &mut dyn LoadShape,
     users: &UserSampler,
 ) -> Vec<FleetRequest> {
-    assert!(!classes.is_empty(), "traffic mix needs at least one class");
-    let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
-    for c in classes {
-        assert!(c.weight > 0.0, "class weights must be positive");
-    }
-    let mut rng = Rng64::new(spec.seed);
-    let mut trace = Vec::new();
-    let mut t_s = 0.0f64;
-    let mut id = 0u64;
-    loop {
-        let dt = shape.next_dt_s(t_s, &mut rng);
-        assert!(dt > 0.0 && dt.is_finite(), "load shape produced a bad gap: {dt}");
-        t_s += dt;
-        let arrival_ns = ns_from_secs(t_s);
-        if arrival_ns >= spec.duration_ns {
-            break;
-        }
-        let mut pick = rng.uniform() * total_weight;
-        let mut class = classes[classes.len() - 1];
-        for c in classes {
-            if pick < c.weight {
-                class = *c;
-                break;
-            }
-            pick -= c.weight;
-        }
-        let user = users.sample(&mut rng);
-        trace.push(FleetRequest {
+    let weights: Vec<f64> = classes.iter().map(|c| c.weight).collect();
+    generate_arrivals(spec.duration_ns, spec.seed, &weights, shape, |id, k, arrival_ns, rng| {
+        let class = classes[k];
+        FleetRequest {
             id,
             lane: class.lane,
-            user,
+            user: users.sample(rng),
             arrival_ns,
             deadline_ns: arrival_ns.saturating_add(class.deadline_ns),
-        });
-        id += 1;
-    }
-    trace
+        }
+    })
 }
 
 #[cfg(test)]

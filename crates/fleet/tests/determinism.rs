@@ -4,6 +4,7 @@
 //! the real E19 presets, sharded store and autoscaler included.
 
 use enw_fleet::presets::{fleet_spec, scales, trace, Scenario};
+use enw_fleet::ring::key_point;
 use enw_fleet::sim::try_run;
 use enw_parallel as parallel;
 
@@ -34,6 +35,21 @@ fn same_spec_same_bytes_across_thread_counts() {
     }
     // And a plain re-run without any thread pinning.
     assert_eq!(fingerprint(), reference);
+}
+
+#[test]
+fn overload_fingerprint_is_pinned() {
+    // Over 40 ms the flash crowd overloads the smallest fleet, so
+    // admission control rejects. The pin was recorded before replicas
+    // ran `enw-serve`'s station core; it guards behaviour that every
+    // thread count shares, which the cross-thread checks cannot see.
+    let scale = scales()[0];
+    let t = trace(Scenario::FlashHotSet, scale, 2 * HORIZON_NS, SEED);
+    let report = try_run(fleet_spec(scale), &t).expect("preset spec and trace are valid");
+    let rejected: u64 = report.lanes.iter().map(|l| l.metrics.rejected).sum();
+    assert!(rejected > 0, "fixture must overload the fleet");
+    let got = report.render().bytes().fold(0u64, |h, b| key_point(h ^ u64::from(b)));
+    assert_eq!(got, 0x3100_146b_934e_c9e9, "pinned fingerprint moved: {got:#018x}");
 }
 
 #[test]

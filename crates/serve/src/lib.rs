@@ -16,9 +16,10 @@
 //! bounded per-station queues with explicit rejection (backpressure),
 //! size-or-timeout batch closing (the recsys lane's size limit comes
 //! from the paper's `try_max_batch_under_sla` binary search), per-request
-//! deadlines with timeout shedding, and a degradation ladder that steps
-//! from the analog-noisy lane down to its digital fallback after
-//! repeated deadline misses (and back after clean batches).
+//! deadlines with timeout shedding — one [`station::StationCore`] state
+//! machine, shared with `enw-fleet`'s replicas — and a degradation ladder
+//! that steps from the analog-noisy lane down to its digital fallback
+//! after repeated deadline misses (and back after clean batches).
 //!
 //! # Determinism contract
 //!
@@ -44,14 +45,17 @@ pub mod presets;
 pub mod queue;
 pub mod request;
 pub mod scheduler;
+pub mod station;
 
 pub use backend::{Backend, ServiceModel};
 pub use clock::VirtualClock;
 pub use error::ServeError;
 pub use loadgen::{
-    generate_trace, generate_trace_shaped, LoadShape, LoadSpec, Poisson, TrafficClass,
+    generate_arrivals, generate_trace, generate_trace_shaped, LoadShape, LoadSpec, Poisson,
+    TrafficClass,
 };
 pub use metrics::{LatencySummary, StationMetrics};
 pub use policy::{BatchPolicy, DegradePolicy, StationSpec};
 pub use request::{render_responses, Outcome, Output, Payload, Request, Response};
 pub use scheduler::{RunReport, Server};
+pub use station::{Queued, StationCore};

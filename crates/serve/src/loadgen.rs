@@ -10,8 +10,8 @@
 //! The inter-arrival process itself is pluggable through [`LoadShape`]:
 //! the classic memoryless process is [`Poisson`], and richer shapes
 //! (diurnal sinusoids, bursty on/off phases, flash crowds) live in the
-//! fleet layer (`enw-fleet`) and drive the same generator through this
-//! trait.
+//! fleet layer (`enw-fleet`), whose generator shares this one's arrival
+//! process ([`generate_arrivals`]).
 
 use crate::clock::ns_from_secs;
 use crate::request::Request;
@@ -101,61 +101,78 @@ pub fn generate_trace(server: &Server, spec: &LoadSpec, classes: &[TrafficClass]
     generate_trace_shaped(server, spec, classes, &mut shape)
 }
 
-/// [`generate_trace`] with a caller-supplied inter-arrival process. The
-/// draw order is fixed: one [`LoadShape::next_dt_s`] call, then the class
-/// pick, then the payload draw, per arrival — so shapes compose with the
-/// class mix without perturbing each other's randomness.
+/// [`generate_trace`] with a caller-supplied inter-arrival process; see
+/// [`generate_arrivals`] for the draw order.
 ///
 /// # Panics
 ///
-/// Panics if `classes` is empty, any weight is non-positive, any station
-/// index is out of range, `qps` is non-positive, or the shape returns a
-/// non-positive or non-finite gap.
+/// Panics if `qps` is non-positive, a station index is out of range, or
+/// as [`generate_arrivals`] does.
 pub fn generate_trace_shaped(
     server: &Server,
     spec: &LoadSpec,
     classes: &[TrafficClass],
     shape: &mut dyn LoadShape,
 ) -> Vec<Request> {
-    assert!(!classes.is_empty(), "traffic mix needs at least one class");
     assert!(spec.qps > 0.0 && spec.qps.is_finite(), "qps must be positive");
-    let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
     for c in classes {
-        assert!(c.weight > 0.0, "class weights must be positive");
         assert!(c.station < server.station_count(), "traffic class targets unknown station");
     }
-    let mut rng = Rng64::new(spec.seed);
+    let weights: Vec<f64> = classes.iter().map(|c| c.weight).collect();
+    generate_arrivals(spec.duration_ns, spec.seed, &weights, shape, |id, k, arrival_ns, rng| {
+        let class = classes[k];
+        Request {
+            id,
+            station: class.station,
+            payload: server.payload_for(class.station, rng),
+            arrival_ns,
+            deadline_ns: arrival_ns.saturating_add(class.deadline_ns),
+        }
+    })
+}
+
+/// The open-loop arrival process of serve's and `enw-fleet`'s traces,
+/// up to `duration_ns`. Per arrival the draw order is fixed — one
+/// [`LoadShape::next_dt_s`] gap, one class pick by `weights`, then
+/// `make(id, class, arrival_ns, rng)` — so shapes and class mixes compose
+/// without perturbing each other's randomness.
+///
+/// # Panics
+///
+/// Panics if `weights` is empty or holds a non-positive weight, or the
+/// shape returns a non-positive or non-finite gap.
+pub fn generate_arrivals<T>(
+    duration_ns: u64,
+    seed: u64,
+    weights: &[f64],
+    shape: &mut dyn LoadShape,
+    mut make: impl FnMut(u64, usize, u64, &mut Rng64) -> T,
+) -> Vec<T> {
+    assert!(!weights.is_empty(), "traffic mix needs at least one class");
+    assert!(weights.iter().all(|&w| w > 0.0), "class weights must be positive");
+    let total_weight: f64 = weights.iter().sum();
+    let mut rng = Rng64::new(seed);
     let mut trace = Vec::new();
     let mut t_s = 0.0f64;
-    let mut id = 0u64;
     loop {
         let dt = shape.next_dt_s(t_s, &mut rng);
         assert!(dt > 0.0 && dt.is_finite(), "load shape produced a bad gap: {dt}");
         t_s += dt;
         let arrival_ns = ns_from_secs(t_s);
-        if arrival_ns >= spec.duration_ns {
-            break;
+        if arrival_ns >= duration_ns {
+            return trace;
         }
         let mut pick = rng.uniform() * total_weight;
-        let mut class = classes[classes.len() - 1];
-        for c in classes {
-            if pick < c.weight {
-                class = *c;
+        let mut class = weights.len() - 1;
+        for (k, &w) in weights.iter().enumerate() {
+            if pick < w {
+                class = k;
                 break;
             }
-            pick -= c.weight;
+            pick -= w;
         }
-        let payload = server.payload_for(class.station, &mut rng);
-        trace.push(Request {
-            id,
-            station: class.station,
-            payload,
-            arrival_ns,
-            deadline_ns: arrival_ns.saturating_add(class.deadline_ns),
-        });
-        id += 1;
+        trace.push(make(trace.len() as u64, class, arrival_ns, &mut rng));
     }
-    trace
 }
 
 #[cfg(test)]

@@ -1,15 +1,11 @@
 //! Per-station serving metrics on the shared `enw-trace` histogram.
 //!
-//! Earlier revisions kept every served latency in a `Vec<u64>` and
-//! computed nearest-rank percentiles over the sorted list. The counters
-//! survive unchanged, but latencies now accumulate into
-//! [`enw_trace::Histogram`] — the same fixed-bucket type the rest of the
-//! workspace records into — so a station's distribution merges with any
-//! other deterministically and in O(buckets) memory regardless of run
-//! length. Bucket boundaries are a pure function of the value, so the
-//! reported p50/p95/p99 remain bit-identical across runs, hosts, and
-//! `ENW_THREADS` settings; values below 64 ns are exact and larger ones
-//! quantize to ≤ ~3% (min/max stay exact).
+//! Latencies accumulate into [`enw_trace::Histogram`], the fixed-bucket
+//! type the rest of the workspace records into, so distributions merge
+//! deterministically in O(buckets) memory. Bucket boundaries are a pure
+//! function of the value, so p50/p95/p99 are bit-identical across runs,
+//! hosts and `ENW_THREADS` settings; values below 64 ns are exact and
+//! larger ones quantize to ≤ ~3% (min/max stay exact).
 
 use enw_trace::Histogram;
 
@@ -64,6 +60,20 @@ impl StationMetrics {
     /// Records one served latency (on-time or late).
     pub fn record_latency(&mut self, latency_ns: u64) {
         self.latencies.record(latency_ns);
+    }
+
+    /// Folds `other`'s counters and latencies into `self` (keeps the name).
+    pub fn merge(&mut self, other: &StationMetrics) {
+        self.arrived += other.arrived;
+        self.rejected += other.rejected;
+        self.shed += other.shed;
+        self.completed += other.completed;
+        self.deadline_misses += other.deadline_misses;
+        self.batches += other.batches;
+        self.degraded_batches += other.degraded_batches;
+        self.fallback_switches += other.fallback_switches;
+        self.recoveries += other.recoveries;
+        self.latencies.merge(&other.latencies);
     }
 
     /// Served requests (on-time + late).
@@ -178,7 +188,11 @@ mod tests {
                 b.record_latency(v)
             }
         }
-        a.latencies.merge(&b.latencies);
+        a.completed = 3;
+        b.completed = 4;
+        b.shed = 2;
+        a.merge(&b);
         assert_eq!(a.latencies, whole.latencies);
+        assert_eq!((a.name.as_str(), a.completed, a.shed), ("a", 7, 2));
     }
 }

@@ -33,9 +33,22 @@ impl BatchPolicy {
     ///
     /// Panics if `max_batch` is zero or `queue_cap < max_batch`.
     pub fn new(max_batch: usize, max_wait_ns: u64, queue_cap: usize) -> Self {
-        assert!(max_batch >= 1, "batches must hold at least one request");
-        assert!(queue_cap >= max_batch, "queue must hold at least one full batch");
-        BatchPolicy { max_batch, max_wait_ns, queue_cap }
+        let policy = BatchPolicy { max_batch, max_wait_ns, queue_cap };
+        let verdict = policy.validate();
+        assert!(verdict.is_ok(), "{verdict:?}");
+        policy
+    }
+
+    /// The one policy check: `max_batch >= 1` (zero would close empty
+    /// batches forever) and `queue_cap >= max_batch`.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        if self.max_batch == 0 {
+            return Err(ServeError::InvalidPolicy { reason: "max_batch must be at least 1" });
+        }
+        if self.queue_cap < self.max_batch {
+            return Err(ServeError::InvalidPolicy { reason: "queue must hold a full batch" });
+        }
+        Ok(())
     }
 
     /// Starts building a policy; constraints are checked at
@@ -106,15 +119,9 @@ impl BatchPolicyBuilder {
     pub fn build(self) -> Result<BatchPolicy, ServeError> {
         let max_batch = self.max_batch.unwrap_or(1);
         let queue_cap = self.queue_cap.unwrap_or(max_batch);
-        if max_batch == 0 {
-            return Err(ServeError::InvalidPolicy { reason: "max_batch must be at least 1" });
-        }
-        if queue_cap < max_batch {
-            return Err(ServeError::InvalidPolicy {
-                reason: "queue_cap must hold at least one full batch",
-            });
-        }
-        Ok(BatchPolicy { max_batch, max_wait_ns: self.max_wait_ns, queue_cap })
+        let policy = BatchPolicy { max_batch, max_wait_ns: self.max_wait_ns, queue_cap };
+        policy.validate()?;
+        Ok(policy)
     }
 }
 

@@ -3,23 +3,24 @@
 //! Admission control is the outermost defence of the SLA: a queue that
 //! grows without bound converts overload into unbounded latency for
 //! *everyone*, while a bounded queue converts it into explicit
-//! [`Admission::Rejected`] results the client can retry elsewhere
+//! [`ServeError::QueueFull`] refusals the client can retry elsewhere
 //! (backpressure). FIFO order is part of the determinism contract — the
 //! batch a request lands in depends only on the trace, never on host
-//! scheduling.
+//! scheduling. The queue holds any [`Queued`] type, [`Request`] by default.
 
 use crate::error::ServeError;
 use crate::request::Request;
+use crate::station::Queued;
 use std::collections::VecDeque;
 
 /// A FIFO queue with a hard capacity.
-#[derive(Debug, Clone, Default)]
-pub struct BoundedQueue {
-    items: VecDeque<Request>,
+#[derive(Debug, Clone)]
+pub struct BoundedQueue<R = Request> {
+    items: VecDeque<R>,
     cap: usize,
 }
 
-impl BoundedQueue {
+impl<R: Queued> BoundedQueue<R> {
     /// A queue holding at most `cap` waiting requests.
     ///
     /// # Panics
@@ -29,11 +30,6 @@ impl BoundedQueue {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1, "queue capacity must be at least 1");
         BoundedQueue { items: VecDeque::with_capacity(cap.min(1024)), cap }
-    }
-
-    /// Capacity.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Waiting requests.
@@ -46,14 +42,9 @@ impl BoundedQueue {
         self.items.is_empty()
     }
 
-    /// Arrival instant of the oldest waiting request, if any.
-    pub fn oldest_arrival_ns(&self) -> Option<u64> {
-        self.items.front().map(|r| r.arrival_ns)
-    }
-
     /// Offers a request; a full queue refuses it with
     /// [`ServeError::QueueFull`] (backpressure).
-    pub fn try_offer(&mut self, req: Request) -> Result<(), ServeError> {
+    pub fn try_offer(&mut self, req: R) -> Result<(), ServeError> {
         if self.items.len() >= self.cap {
             return Err(ServeError::QueueFull { capacity: self.cap });
         }
@@ -61,21 +52,18 @@ impl BoundedQueue {
         Ok(())
     }
 
-    /// Removes and returns up to `n` oldest requests, in FIFO order.
-    pub fn take(&mut self, n: usize) -> Vec<Request> {
-        let mut out = Vec::new();
-        self.take_into(n, &mut out);
-        out
-    }
-
-    /// [`take`](BoundedQueue::take) into a caller-owned buffer: `out` is
-    /// cleared, then filled with up to `n` oldest requests in FIFO order.
-    /// A warm buffer is refilled in place, so steady-state batch closes
-    /// perform no per-request allocation.
-    pub fn take_into(&mut self, n: usize, out: &mut Vec<Request>) {
+    /// Moves up to `n` oldest requests, in FIFO order, into `out` after
+    /// clearing it. A warm buffer is refilled in place, so steady-state
+    /// batch closes perform no per-request allocation.
+    pub fn take_into(&mut self, n: usize, out: &mut Vec<R>) {
         out.clear();
         let k = n.min(self.items.len());
         out.extend(self.items.drain(..k));
+    }
+
+    /// Arrival instant of the oldest waiting request, if any.
+    pub fn oldest_arrival_ns(&self) -> Option<u64> {
+        self.items.front().map(Queued::arrival_ns)
     }
 }
 
@@ -105,7 +93,8 @@ mod tests {
             "cap 2 must reject the third"
         );
         assert_eq!(q.oldest_arrival_ns(), Some(10));
-        let taken = q.take(5);
+        let mut taken = Vec::new();
+        q.take_into(5, &mut taken);
         assert_eq!(taken.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2]);
         assert!(q.is_empty());
         assert_eq!(q.oldest_arrival_ns(), None);
@@ -117,7 +106,8 @@ mod tests {
         for i in 0..5 {
             let _ = q.try_offer(req(i, i));
         }
-        let first = q.take(2);
+        let mut first = Vec::new();
+        q.take_into(2, &mut first);
         assert_eq!(first.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(q.len(), 3);
     }
@@ -140,6 +130,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue capacity")]
     fn zero_capacity_is_rejected() {
-        BoundedQueue::new(0);
+        BoundedQueue::<Request>::new(0);
     }
 }

@@ -1,9 +1,10 @@
 //! The deterministic micro-batching event loop.
 //!
-//! One [`Server`] owns a set of *stations* (one per backend lane), each
-//! with a bounded FIFO queue, a batch-close policy, and optionally a
-//! degradation rung. Time is the [`VirtualClock`]: the loop repeatedly
-//! finds the earliest pending event — next trace arrival, a station's
+//! One [`Server`] owns a set of *stations* (one per backend lane): each
+//! is a [`StationCore`] (see [`station`](crate::station) for the batch
+//! lifecycle) plus its backends, an optional degradation rung and an
+//! output arena. Time is the [`VirtualClock`]: the loop repeatedly finds
+//! the earliest pending event — next trace arrival, a station's
 //! in-flight batch completing, or a station's batch-wait timeout — and
 //! processes everything due at that instant in a fixed order
 //! (completions, then arrivals, then batch closes; stations always in
@@ -11,21 +12,11 @@
 //! stream is a pure function of the trace: bit-identical across runs,
 //! hosts, and `ENW_THREADS` settings.
 //!
-//! Station lifecycle per batch:
-//!
-//! 1. **Admit** — arrivals enter the station queue or are `Rejected`
-//!    when it is full (backpressure).
-//! 2. **Close** — an idle station closes a batch when the queue reaches
-//!    `max_batch` or the oldest request has waited `max_wait_ns`.
-//!    Requests whose deadline has already passed are `Shed` here,
-//!    unserved.
-//! 3. **Serve** — the active backend computes real outputs (through
-//!    `enw-parallel`'s fixed-chunk kernels) and prices the batch with
-//!    its analytic service model; the station is busy until then.
-//! 4. **Complete** — responses are emitted; late ones count as deadline
-//!    misses and drive the degradation ladder (primary → fallback after
-//!    `miss_streak` missed batches, back after `recover_streak` clean
-//!    ones).
+//! A closed batch is computed for real by the active backend (through
+//! `enw-parallel`'s fixed-chunk kernels) and priced by its analytic
+//! service model. Late completions drive the degradation ladder: primary
+//! → fallback after `miss_streak` missed batches, back after
+//! `recover_streak` clean ones.
 //!
 //! # Observability
 //!
@@ -40,76 +31,22 @@ use crate::clock::VirtualClock;
 use crate::error::ServeError;
 use crate::metrics::StationMetrics;
 use crate::policy::{BatchPolicy, DegradePolicy, StationSpec};
-use crate::queue::BoundedQueue;
 use crate::request::{render_responses, Outcome, Output, Payload, Request, Response};
+use crate::station::StationCore;
 use enw_numerics::rng::Rng64;
 use enw_trace as trace;
 
 struct Station {
+    core: StationCore,
     backend: Box<dyn Backend>,
-    fallback: Option<Box<dyn Backend>>,
-    ladder: Option<DegradePolicy>,
-    policy: BatchPolicy,
-    queue: BoundedQueue,
-    busy_until: Option<u64>,
-    pending: Vec<(Request, Output)>,
-    // Per-station arena: batch close and serve refill these warm buffers
-    // in place, so the steady-state event loop performs no per-request
-    // heap allocation (each grows once to `max_batch` and stays).
-    batch_buf: Vec<Request>,
-    outputs_buf: Vec<Output>,
+    degrade: Option<(Box<dyn Backend>, DegradePolicy)>,
+    // Outputs of the in-flight batch, aligned with the core's batch; a
+    // warm buffer the backend refills in place.
+    outputs: Vec<Output>,
+    // Only ever set on a station with a fallback.
     on_fallback: bool,
     miss_streak: u32,
     clean_streak: u32,
-    metrics: StationMetrics,
-}
-
-impl Station {
-    fn new(spec: StationSpec) -> Self {
-        let metrics = StationMetrics::new(spec.primary.name());
-        let (fallback, ladder) = match spec.degrade {
-            Some((f, l)) => (Some(f), Some(l)),
-            None => (None, None),
-        };
-        Station {
-            queue: BoundedQueue::new(spec.policy.queue_cap),
-            backend: spec.primary,
-            fallback,
-            ladder,
-            policy: spec.policy,
-            busy_until: None,
-            pending: Vec::new(),
-            batch_buf: Vec::new(),
-            outputs_buf: Vec::new(),
-            on_fallback: false,
-            miss_streak: 0,
-            clean_streak: 0,
-            metrics,
-        }
-    }
-
-    /// Earliest future instant at which this station, left alone, must
-    /// act: batch completion when busy, else the oldest request's
-    /// wait-timeout expiry.
-    fn next_event_ns(&self) -> Option<u64> {
-        if let Some(b) = self.busy_until {
-            return Some(b);
-        }
-        self.queue.oldest_arrival_ns().map(|oldest| oldest.saturating_add(self.policy.max_wait_ns))
-    }
-
-    /// True when an idle station should close a batch now.
-    fn can_close(&self, now_ns: u64) -> bool {
-        if self.busy_until.is_some() || self.queue.is_empty() {
-            return false;
-        }
-        if self.queue.len() >= self.policy.max_batch {
-            return true;
-        }
-        self.queue
-            .oldest_arrival_ns()
-            .is_some_and(|oldest| now_ns >= oldest.saturating_add(self.policy.max_wait_ns))
-    }
 }
 
 /// Everything a finished run reports.
@@ -140,13 +77,28 @@ pub struct Server {
 impl Server {
     /// Builds a server from station specs; station indices follow the
     /// order given here. Fails with [`ServeError::NoStations`] on an
-    /// empty spec list.
+    /// empty spec list and [`ServeError::InvalidPolicy`] when a batch
+    /// policy fails [`BatchPolicy::validate`].
     pub fn try_new(specs: Vec<StationSpec>) -> Result<Self, ServeError> {
         if specs.is_empty() {
             return Err(ServeError::NoStations);
         }
+        for spec in &specs {
+            spec.policy.validate()?;
+        }
         Ok(Server {
-            stations: specs.into_iter().map(Station::new).collect(),
+            stations: specs
+                .into_iter()
+                .map(|spec| Station {
+                    core: StationCore::new(spec.primary.name(), spec.policy),
+                    backend: spec.primary,
+                    degrade: spec.degrade,
+                    outputs: Vec::new(),
+                    on_fallback: false,
+                    miss_streak: 0,
+                    clean_streak: 0,
+                })
+                .collect(),
             clock: VirtualClock::new(),
         })
     }
@@ -173,7 +125,7 @@ impl Server {
     /// Panics if `i` is out of range.
     pub fn policy(&self, i: usize) -> BatchPolicy {
         assert!(i < self.stations.len(), "station index out of range");
-        self.stations[i].policy
+        self.stations[i].core.policy()
     }
 
     /// Draws a payload station `i`'s primary backend understands (load
@@ -196,7 +148,7 @@ impl Server {
     pub fn capacity_qps(&self, i: usize) -> f64 {
         assert!(i < self.stations.len(), "station index out of range");
         let st = &self.stations[i];
-        let b = st.policy.max_batch;
+        let b = st.core.policy().max_batch;
         let ns = st.backend.service_ns(b).max(1);
         b as f64 / (ns as f64 / 1e9)
     }
@@ -224,10 +176,9 @@ impl Server {
     }
 
     fn validate(&self, trace_reqs: &[Request]) -> Result<(), ServeError> {
-        for (i, w) in trace_reqs.windows(2).enumerate() {
-            if w[0].arrival_ns > w[1].arrival_ns {
-                return Err(ServeError::UnsortedTrace { position: i + 1 });
-            }
+        let unsorted = |w: &[Request]| matches!(w, [a, b] if a.arrival_ns > b.arrival_ns);
+        if let Some(i) = trace_reqs.windows(2).position(unsorted) {
+            return Err(ServeError::UnsortedTrace { position: i + 1 });
         }
         for r in trace_reqs {
             if r.station >= self.stations.len() {
@@ -248,20 +199,16 @@ impl Server {
         let mut reqs = reqs.peekable();
         let mut responses: Vec<Response> = Vec::with_capacity(expected);
         loop {
-            let mut t_next: Option<u64> = reqs.peek().map(|r| r.arrival_ns);
-            for st in &self.stations {
-                if let Some(cand) = st.next_event_ns() {
-                    t_next = Some(t_next.map_or(cand, |t| t.min(cand)));
-                }
-            }
-            let Some(t) = t_next else { break };
+            let t_next = reqs.peek().map(|r| r.arrival_ns);
+            let station_events = self.stations.iter().filter_map(|st| st.core.next_event_ns());
+            let Some(t) = t_next.into_iter().chain(station_events).min() else { break };
             self.clock.advance_to(t);
             // Publish virtual time so serve/* spans measure virtual-time
             // deltas, not host time.
             trace::set_virtual_ns(t);
             // 1. Completions due now free their stations.
             for i in 0..self.stations.len() {
-                if self.stations[i].busy_until == Some(t) {
+                if self.stations[i].core.busy_until() == Some(t) {
                     self.complete_batch(i, t, &mut responses);
                 }
             }
@@ -275,7 +222,7 @@ impl Server {
             loop {
                 let mut progressed = false;
                 for i in 0..self.stations.len() {
-                    if self.stations[i].can_close(t) {
+                    if self.stations[i].core.can_close(t) {
                         self.close_batch(i, t, &mut responses);
                         progressed = true;
                     }
@@ -288,17 +235,14 @@ impl Server {
         RunReport {
             responses,
             duration_ns: self.clock.now_ns(),
-            stations: self.stations.into_iter().map(|s| s.metrics).collect(),
+            stations: self.stations.iter().map(|s| s.core.metrics().clone()).collect(),
         }
     }
 
     fn admit(&mut self, req: Request, now_ns: u64, responses: &mut Vec<Response>) {
-        let station = &mut self.stations[req.station];
-        station.metrics.arrived += 1;
         trace::counter_add("serve.arrived", 1);
         let (id, sid, arrival) = (req.id, req.station, req.arrival_ns);
-        if station.queue.try_offer(req).is_err() {
-            station.metrics.rejected += 1;
+        if self.stations[sid].core.admit(req).is_err() {
             trace::record_span("serve/reject", 1);
             responses.push(Response {
                 id,
@@ -314,19 +258,10 @@ impl Server {
     fn close_batch(&mut self, i: usize, now_ns: u64, responses: &mut Vec<Response>) {
         let close_span = trace::span("serve/batch_close");
         let station = &mut self.stations[i];
-        // Refill the station's warm batch buffer in place — the only
-        // allocations in a steady-state close are whatever the backend's
-        // outputs themselves need.
-        let mut batch = std::mem::take(&mut station.batch_buf);
-        station.queue.take_into(station.policy.max_batch, &mut batch);
-        close_span.add_work(batch.len() as u64);
-        batch.retain(|req| {
+        let batch = station.core.close(now_ns, |req, shed| {
+            close_span.add_work(1);
             trace::record_span("serve/queue_wait", now_ns.saturating_sub(req.arrival_ns));
-            // Timeout shedding: a request already past its deadline gets
-            // no service — answering it late helps no one and slows the
-            // batch for everyone else.
-            if now_ns >= req.deadline_ns {
-                station.metrics.shed += 1;
+            if shed {
                 trace::record_span("serve/shed", 1);
                 responses.push(Response {
                     id: req.id,
@@ -336,26 +271,22 @@ impl Server {
                     arrival_ns: req.arrival_ns,
                     finish_ns: now_ns,
                 });
-                return false;
             }
-            true
         });
         if batch.is_empty() {
-            station.batch_buf = batch;
             return;
         }
-        let on_fallback = station.on_fallback && station.fallback.is_some();
-        let backend = match (&mut station.fallback, on_fallback) {
-            (Some(f), true) => f.as_mut(),
+        let on_fallback = station.on_fallback;
+        let backend = match (&mut station.degrade, on_fallback) {
+            (Some((fallback, _)), true) => fallback.as_mut(),
             _ => station.backend.as_mut(),
         };
-        let mut outputs = std::mem::take(&mut station.outputs_buf);
-        backend.serve_into(&batch, &mut outputs);
+        backend.serve_into(batch, &mut station.outputs);
         assert!(
-            outputs.len() == batch.len(),
+            station.outputs.len() == batch.len(),
             "backend {} returned {} outputs for a batch of {}",
             backend.name(),
-            outputs.len(),
+            station.outputs.len(),
             batch.len()
         );
         let service = backend.service_ns(batch.len()).max(1);
@@ -363,62 +294,43 @@ impl Server {
         // the currency exp17's stage-share breakdown wants.
         trace::record_span("serve/backend_execute", service);
         trace::record_value("serve.batch_size", batch.len() as u64);
-        station.busy_until = Some(now_ns.saturating_add(service));
-        station.metrics.batches += 1;
+        station.core.start(now_ns, service);
         if on_fallback {
-            station.metrics.degraded_batches += 1;
+            station.core.metrics_mut().degraded_batches += 1;
         }
-        station.pending.clear();
-        station.pending.extend(batch.drain(..).zip(outputs.drain(..)));
-        station.batch_buf = batch;
-        station.outputs_buf = outputs;
     }
 
     fn complete_batch(&mut self, i: usize, now_ns: u64, responses: &mut Vec<Response>) {
         let station = &mut self.stations[i];
-        station.busy_until = None;
-        let Station { pending, metrics, .. } = station;
+        let mut outputs = station.outputs.drain(..);
         let mut any_miss = false;
-        for (req, out) in pending.drain(..) {
-            let late = now_ns > req.deadline_ns;
-            if late {
-                metrics.deadline_misses += 1;
-                any_miss = true;
-            } else {
-                metrics.completed += 1;
-            }
-            let latency = now_ns.saturating_sub(req.arrival_ns);
-            metrics.record_latency(latency);
+        station.core.complete(now_ns, |req, late, latency| {
+            any_miss |= late;
             trace::record_value("serve.latency_ns", latency);
             responses.push(Response {
                 id: req.id,
                 station: i,
                 outcome: if late { Outcome::DeadlineMiss } else { Outcome::Completed },
-                output: Some(out),
+                output: outputs.next(),
                 arrival_ns: req.arrival_ns,
                 finish_ns: now_ns,
             });
-        }
-        let Some(ladder) = station.ladder else { return };
-        if !station.on_fallback {
-            if any_miss {
-                station.miss_streak += 1;
-                if station.miss_streak >= ladder.miss_streak && station.fallback.is_some() {
-                    station.on_fallback = true;
-                    station.metrics.fallback_switches += 1;
-                    station.clean_streak = 0;
-                }
-            } else {
-                station.miss_streak = 0;
-            }
-        } else if any_miss {
-            station.clean_streak = 0;
-        } else {
-            station.clean_streak += 1;
+        });
+        let Some(ladder) = station.degrade.as_ref().map(|(_, ladder)| *ladder) else { return };
+        let metrics = station.core.metrics_mut();
+        if station.on_fallback {
+            station.clean_streak = if any_miss { 0 } else { station.clean_streak + 1 };
             if ladder.recover_streak > 0 && station.clean_streak >= ladder.recover_streak {
                 station.on_fallback = false;
-                station.metrics.recoveries += 1;
+                metrics.recoveries += 1;
                 station.miss_streak = 0;
+            }
+        } else {
+            station.miss_streak = if any_miss { station.miss_streak + 1 } else { 0 };
+            if any_miss && station.miss_streak >= ladder.miss_streak {
+                station.on_fallback = true;
+                metrics.fallback_switches += 1;
+                station.clean_streak = 0;
             }
         }
     }
@@ -597,6 +509,16 @@ mod tests {
     #[test]
     fn empty_spec_list_is_rejected() {
         assert_eq!(Server::try_new(Vec::new()).err(), Some(ServeError::NoStations));
+        // Struct literals skip `BatchPolicy::new`: `max_batch: 0` would
+        // close empty batches forever and `queue_cap: 0` cannot queue.
+        for policy in [
+            BatchPolicy { max_batch: 0, max_wait_ns: 0, queue_cap: 4 },
+            BatchPolicy { max_batch: 1, max_wait_ns: 0, queue_cap: 0 },
+        ] {
+            let spec = StationSpec::simple(Toy::boxed("t", 1, 0.0), policy);
+            let err = Server::try_new(vec![spec]).err();
+            assert!(matches!(err, Some(ServeError::InvalidPolicy { .. })), "{policy:?}: {err:?}");
+        }
     }
 
     #[test]

@@ -52,6 +52,27 @@ fn same_seed_same_bytes_across_thread_counts() {
     assert_eq!(fingerprint(&run_at(SEED, 0.6, 30_000_000)), reference);
 }
 
+/// 64-bit FNV-1a: a fixed hash, stable across hosts and toolchains.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn overload_fingerprint_is_pinned() {
+    // 3x saturation sheds and rejects, so the pin covers the admission,
+    // shed and ladder paths, not just clean completions. The value was
+    // recorded before the station core was shared with `enw-fleet`; a
+    // refactor that moves it changed behaviour on every thread count.
+    let report = run_at(SEED, 3.0, 30_000_000);
+    let shed: u64 = report.stations.iter().map(|m| m.shed).sum();
+    let rejected: u64 = report.stations.iter().map(|m| m.rejected).sum();
+    assert!(shed > 0 && rejected > 0, "fixture must shed ({shed}) and reject ({rejected})");
+    let got = fnv1a64(fingerprint(&report).as_bytes());
+    assert_eq!(got, 0xe3f3_47c8_5f48_14aa, "pinned fingerprint moved: {got:#018x}");
+}
+
 #[test]
 fn different_seeds_differ() {
     let a = fingerprint(&run_at(SEED, 0.6, 20_000_000));
