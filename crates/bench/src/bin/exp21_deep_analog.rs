@@ -22,8 +22,11 @@
 //!
 //! It then sweeps depth, tiling, and device technology, emitting
 //! accuracy-vs-device surfaces and steady-state virtual-clock
-//! throughput into `BENCH_analog_training.json`. Pass `--smoke` for
-//! CI-sized iteration counts.
+//! throughput into `BENCH_analog_training.json`. The deep run also
+//! reports host throughput — wall-clock training samples/s, printed as
+//! the `host` line and written as `host_seconds`/`host_samples_per_s` —
+//! which, unlike everything else in the file, varies run to run. Pass
+//! `--smoke` for CI-sized iteration counts.
 
 use enw_bench::alloc_audit::{self, CountingAlloc};
 use enw_bench::{banner, emit};
@@ -37,6 +40,7 @@ use enw_core::nn::data::{Dataset, Split};
 use enw_core::numerics::rng::Rng64;
 use enw_core::parallel::with_threads;
 use enw_core::report::Table;
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -100,7 +104,12 @@ fn make_data(side: usize, per_class: usize, test_per_class: usize, seed: u64) ->
         .build(&mut rng)
 }
 
-fn make_cfg(side: usize, channels: &[usize], spec: DeviceSpec, tiling: TilingConfig) -> PipelineConfig {
+fn make_cfg(
+    side: usize,
+    channels: &[usize],
+    spec: DeviceSpec,
+    tiling: TilingConfig,
+) -> PipelineConfig {
     PipelineConfig {
         net: ConvNetConfig {
             input: MapShape { channels: 1, height: side, width: side },
@@ -199,6 +208,9 @@ struct DeepRun {
     throughput: f64,
     clock_ms: f64,
     pulses: u64,
+    /// Host wall-clock seconds spent in the training steps (not part of
+    /// the determinism contract).
+    host_seconds: f64,
 }
 
 fn run_deep(sizes: &Sizes) -> DeepRun {
@@ -216,9 +228,11 @@ fn run_deep(sizes: &Sizes) -> DeepRun {
     let layers = p.net_mut().layer_count();
     let tiles = p.net_mut().backends().map(|l| l.tile_count()).sum();
     let chunk = sizes.deep_steps / 4;
+    let wall = Instant::now();
     let loss_first = p.run(&split.train, chunk);
     p.run(&split.train, sizes.deep_steps - 2 * chunk);
     let loss_last = p.run(&split.train, chunk);
+    let host_seconds = wall.elapsed().as_secs_f64();
     let accuracy = p.evaluate(&split.test);
     DeepRun {
         layers,
@@ -230,6 +244,14 @@ fn run_deep(sizes: &Sizes) -> DeepRun {
         throughput: p.throughput(),
         clock_ms: p.clock_ns() as f64 / 1e6,
         pulses: p.stats().pulses,
+        host_seconds,
+    }
+}
+
+impl DeepRun {
+    /// Training samples per host (wall-clock) second.
+    fn host_samples_per_s(&self) -> f64 {
+        self.steps as f64 / self.host_seconds
     }
 }
 
@@ -254,8 +276,10 @@ fn run_sweep(sizes: &Sizes) -> Vec<SweepPoint> {
         ("rram_optimized", devices::rram_optimized),
         ("ecram", devices::ecram),
     ];
-    let tiling_axis =
-        [TilingConfig { tile_rows: 256, tile_cols: 256 }, TilingConfig { tile_rows: 8, tile_cols: 8 }];
+    let tiling_axis = [
+        TilingConfig { tile_rows: 256, tile_cols: 256 },
+        TilingConfig { tile_rows: 8, tile_cols: 8 },
+    ];
     let mut points = Vec::new();
     // Device × tiling surface at the deepest stack that fits the sweep
     // canvas (12 → 10 → pool 5 → 3 → 1: three conv stages).
@@ -326,7 +350,7 @@ fn to_json(gates: &Gates, deep: &DeepRun, sweep: &[SweepPoint], smoke: bool) -> 
         gates.allocs_per_step, gates.bytes_per_step, gates.zero_alloc
     ));
     s.push_str(&format!(
-        "  \"deep\": {{\"layers\": {}, \"tiles\": {}, \"steps\": {}, \"loss_first\": {:.4}, \"loss_last\": {:.4}, \"accuracy\": {:.4}, \"throughput_samples_per_s\": {:.1}, \"virtual_ms\": {:.3}, \"pulses\": {}}},\n",
+        "  \"deep\": {{\"layers\": {}, \"tiles\": {}, \"steps\": {}, \"loss_first\": {:.4}, \"loss_last\": {:.4}, \"accuracy\": {:.4}, \"throughput_samples_per_s\": {:.1}, \"virtual_ms\": {:.3}, \"pulses\": {}, \"host_seconds\": {:.4}, \"host_samples_per_s\": {:.1}}},\n",
         deep.layers,
         deep.tiles,
         deep.steps,
@@ -335,7 +359,9 @@ fn to_json(gates: &Gates, deep: &DeepRun, sweep: &[SweepPoint], smoke: bool) -> 
         deep.accuracy,
         deep.throughput,
         deep.clock_ms,
-        deep.pulses
+        deep.pulses,
+        deep.host_seconds,
+        deep.host_samples_per_s()
     ));
     s.push_str("  \"surface\": [\n");
     for (i, p) in sweep.iter().enumerate() {
@@ -398,18 +424,17 @@ fn main() {
         "virtual clock: {:.3} ms for {} steps -> {:.0} samples/s steady state; {} pulses fired",
         deep.clock_ms, deep.steps, deep.throughput, deep.pulses
     );
+    println!(
+        "host: {:.0} training samples/s wall-clock ({} steps in {:.2} s)",
+        deep.host_samples_per_s(),
+        deep.steps,
+        deep.host_seconds
+    );
     println!();
 
     let sweep = run_sweep(sizes);
-    let mut table = Table::new(&[
-        "device",
-        "layers",
-        "tile grid",
-        "tiles",
-        "accuracy",
-        "samples/s",
-        "pulses",
-    ]);
+    let mut table =
+        Table::new(&["device", "layers", "tile grid", "tiles", "accuracy", "samples/s", "pulses"]);
     for p in &sweep {
         table.row_owned(vec![
             p.device.to_string(),

@@ -319,7 +319,7 @@ impl AnalogArray {
     /// mutable access to that row's weights — rows are disjoint, so any
     /// schedule of rows across workers produces the same final state as
     /// the serial loop, provided `f` itself is deterministic per row
-    /// (e.g. drives its randomness from a per-row forked RNG, as
+    /// (e.g. drives its randomness from a per-row seeded RNG, as
     /// `AnalogTile::update_stochastic` does).
     pub fn par_pulse_by_row<F>(&mut self, row_chunk: usize, f: F) -> u64
     where
@@ -334,17 +334,21 @@ impl AnalogArray {
         // allocation-free — which keeps the whole training step zero-alloc
         // in steady state (E21's gate).
         let total = AtomicU64::new(0);
-        enw_parallel::run_chunks_mut(&mut self.weights, row_chunk.max(1) * cols, |start, window| {
-            let r0 = start / cols;
-            let mut chunk_total = 0u64;
-            for (k, wrow) in window.chunks_mut(cols).enumerate() {
-                let r = r0 + k;
-                let mut pulser =
-                    RowPulser { weights: wrow, devices: &devices[r * cols..(r + 1) * cols] };
-                chunk_total += f(r, &mut pulser);
-            }
-            total.fetch_add(chunk_total, Ordering::Relaxed);
-        });
+        enw_parallel::run_chunks_mut(
+            &mut self.weights,
+            row_chunk.max(1) * cols,
+            |start, window| {
+                let r0 = start / cols;
+                let mut chunk_total = 0u64;
+                for (k, wrow) in window.chunks_mut(cols).enumerate() {
+                    let r = r0 + k;
+                    let mut pulser =
+                        RowPulser { weights: wrow, devices: &devices[r * cols..(r + 1) * cols] };
+                    chunk_total += f(r, &mut pulser);
+                }
+                total.fetch_add(chunk_total, Ordering::Relaxed);
+            },
+        );
         let total = total.load(Ordering::Relaxed);
         self.pulse_count += total;
         total

@@ -100,7 +100,9 @@ impl AnalogPipeline {
     /// or the architecture/tiling is degenerate.
     pub fn new(cfg: &PipelineConfig, data: &Dataset) -> Result<Self, CrossbarError> {
         if data.is_empty() {
-            return Err(CrossbarError::InvalidConfig { reason: "pipeline needs a non-empty dataset" });
+            return Err(CrossbarError::InvalidConfig {
+                reason: "pipeline needs a non-empty dataset",
+            });
         }
         if cfg.net.input.len() != data.input(0).len() {
             return Err(CrossbarError::InvalidConfig {
@@ -273,31 +275,61 @@ impl AnalogPipeline {
     ///
     /// Returns a [`SnapshotError`] if the stream is truncated,
     /// mistagged, shaped for a different configuration, or has
-    /// trailing bytes.
+    /// trailing bytes, and [`SnapshotError::InvalidValue`] if the
+    /// cursor, staging slot, epoch order or a staged label could not
+    /// have come from this pipeline. After an error the pipeline holds
+    /// partly restored state: restore a valid checkpoint or rebuild it
+    /// before stepping.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = StateReader::new(bytes);
         r.expect_tag(b"EPIP")?;
         self.steps = r.u64()?;
         self.epochs = r.u64()?;
         self.clock_ns = r.u64()?;
-        self.cursor = r.u64()? as usize;
-        self.cur = r.u64()? as usize;
+        let len = self.order.len() as u64;
+        self.cursor = Self::below(&mut r, len, "pipeline cursor")? as usize;
+        self.cur = Self::below(&mut r, 2, "pipeline staging slot")? as usize;
         let words = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let has_spare = r.flag()?;
         let spare = r.u64()?;
         self.rng = Rng64::restore(RngState { words, gauss_spare_bits: has_spare.then_some(spare) });
-        check_dim("pipeline epoch order length", r.u64()?, self.order.len() as u64)?;
+        check_dim("pipeline epoch order length", r.u64()?, len)?;
+        let mut seen = enw_parallel::scratch::take_bits(self.order.len().div_ceil(64));
         for idx in self.order.iter_mut() {
-            *idx = r.u64()? as usize;
+            let i = Self::below(&mut r, len, "pipeline epoch order index")? as usize;
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            if seen[word] & bit != 0 {
+                return Err(SnapshotError::InvalidValue {
+                    what: "pipeline epoch order repeat",
+                    recorded: i as u64,
+                });
+            }
+            seen[word] |= bit;
+            *idx = i;
         }
+        let classes = self.net.classes() as u64;
         for slot in 0..2 {
             r.f32_slice(&mut self.staging[slot])?;
-            self.staged_label[slot] = r.u64()? as usize;
+            self.staged_label[slot] =
+                Self::below(&mut r, classes, "pipeline staged label")? as usize;
         }
         for layer in self.net.backends_mut() {
             layer.restore_state(&mut r)?;
         }
         r.finish()
+    }
+
+    /// Reads a `u64` that must lie below `bound`.
+    fn below(
+        r: &mut StateReader<'_>,
+        bound: u64,
+        what: &'static str,
+    ) -> Result<u64, SnapshotError> {
+        let v = r.u64()?;
+        if v >= bound {
+            return Err(SnapshotError::InvalidValue { what, recorded: v });
+        }
+        Ok(v)
     }
 }
 
@@ -400,6 +432,79 @@ mod tests {
         cfg.tiling = TilingConfig { tile_rows: 4, tile_cols: 4 };
         let mut b = AnalogPipeline::new(&cfg, &data).unwrap();
         assert!(b.restore(&bytes).is_err());
+    }
+
+    /// Checkpoint byte offsets: tag, steps, epochs and clock precede the
+    /// cursor; the staging slot and the RNG state (four words, a flag and
+    /// the spare) precede the epoch order's length and entries.
+    const CURSOR_AT: usize = 4 + 3 * 8;
+    const SLOT_AT: usize = CURSOR_AT + 8;
+    const ORDER_LEN_AT: usize = SLOT_AT + 8 + 4 * 8 + 1 + 8;
+    const ORDER_AT: usize = ORDER_LEN_AT + 8;
+
+    /// Restores a checkpoint of a pipeline trained for a few steps, with
+    /// one `u64` overwritten: `patch` sees that pipeline and returns the
+    /// byte offset and the new value. An accepted checkpoint is then
+    /// trained on, so a value the checks miss panics the test.
+    fn restore_patched(
+        patch: impl Fn(&AnalogPipeline) -> (usize, u64),
+    ) -> Result<(), SnapshotError> {
+        let data = small_data(17);
+        let cfg = small_cfg(2);
+        let mut a = AnalogPipeline::new(&cfg, &data).unwrap();
+        a.run(&data, 4);
+        let mut bytes = a.checkpoint();
+        let len_bytes = bytes[ORDER_LEN_AT..ORDER_LEN_AT + 8].try_into().unwrap();
+        assert_eq!(u64::from_le_bytes(len_bytes), data.len() as u64, "offsets out of date");
+        let (at, value) = patch(&a);
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let mut b = AnalogPipeline::new(&cfg, &data).unwrap();
+        let result = b.restore(&bytes);
+        if result.is_ok() {
+            b.step(&data);
+        }
+        result
+    }
+
+    fn invalid(what: &str, result: Result<(), SnapshotError>) {
+        assert!(
+            matches!(&result, Err(SnapshotError::InvalidValue { what: w, .. }) if *w == what),
+            "expected an invalid {what}, got {result:?}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_cursor_past_the_epoch() {
+        invalid("pipeline cursor", restore_patched(|a| (CURSOR_AT, a.order.len() as u64)));
+    }
+
+    #[test]
+    fn restore_rejects_a_staging_slot_above_one() {
+        invalid("pipeline staging slot", restore_patched(|_| (SLOT_AT, 2)));
+    }
+
+    #[test]
+    fn restore_rejects_an_epoch_order_that_is_not_a_permutation() {
+        // The entry the next step stages: out of range, then a repeat.
+        let next = |a: &AnalogPipeline| ORDER_AT + 8 * (a.cursor + 1);
+        let out_of_range = restore_patched(|a| (next(a), a.order.len() as u64));
+        invalid("pipeline epoch order index", out_of_range);
+        let repeat = restore_patched(|a| (next(a), a.order[a.cursor] as u64));
+        invalid("pipeline epoch order repeat", repeat);
+    }
+
+    #[test]
+    fn restore_rejects_a_staged_label_outside_the_classes() {
+        // The label of the slot the next step trains on follows the
+        // order, then each earlier slot's input and label.
+        let label_at = |a: &AnalogPipeline| {
+            let input = a.staging[0].len();
+            ORDER_AT + 8 * a.order.len() + a.cur * (16 + 4 * input) + 8 + 4 * input
+        };
+        invalid(
+            "pipeline staged label",
+            restore_patched(|a| (label_at(a), a.net.classes() as u64)),
+        );
     }
 
     #[test]

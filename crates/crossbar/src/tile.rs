@@ -167,12 +167,12 @@ pub struct AnalogTile {
     dw_avg: f32,
     rng: Rng64,
     stats: TileStats,
-    /// Per-row RNG streams for the parallel stochastic update, refilled
+    /// Per-row RNG seeds for the parallel stochastic update, redrawn
     /// from the tile RNG on every update. Kept as a field so the
     /// steady-state training loop reuses its capacity instead of
     /// allocating per call; the contents are transient (fully rewritten
     /// before use) and excluded from checkpoints.
-    row_rngs: Vec<Rng64>,
+    row_seeds: Vec<u64>,
 }
 
 impl AnalogTile {
@@ -194,15 +194,15 @@ impl AnalogTile {
             dw_avg,
             rng: rng.fork(),
             stats: TileStats::default(),
-            row_rngs: Vec::new(),
+            row_seeds: Vec::new(),
         }
     }
 
     /// Snapshot of the tile RNG for checkpointing. Together with the
     /// array's [`weights_raw`](AnalogArray::weights_raw) and
     /// [`pulse_count`](AnalogArray::pulse_count) this captures every
-    /// bit of mutable tile state (the per-row update streams are
-    /// transient — rewritten from this RNG before each use).
+    /// bit of mutable tile state (the per-row update seeds are
+    /// transient — redrawn from this RNG before each use).
     pub fn rng_state(&self) -> RngState {
         self.rng.state()
     }
@@ -329,89 +329,112 @@ impl AnalogTile {
         xa
     }
 
-    /// Sets a bit in a `u64`-limb scratch bitset.
-    #[inline]
-    fn set_bit(bits: &mut [u64], idx: usize) {
-        bits[idx / 64] |= 1 << (idx % 64);
-    }
-
-    /// Reads a bit from a `u64`-limb scratch bitset.
-    #[inline]
-    fn get_bit(bits: &[u64], idx: usize) -> bool {
-        bits[idx / 64] & (1 << (idx % 64)) != 0
+    /// Compacts the lines with a non-zero pulse probability
+    /// `min(amp·|v|, 1)` into `idx` (ascending line index) and `thr`
+    /// (their [`Rng64::bernoulli_threshold`]); returns how many there are.
+    /// Inactive lines never fire and draw nothing, so the train loop
+    /// skips them.
+    fn active_lines(values: &[f32], amp: f32, idx: &mut [usize], thr: &mut [u64]) -> usize {
+        let mut n = 0;
+        for (i, v) in values.iter().enumerate() {
+            let p = (amp * v.abs()).min(1.0);
+            if p > 0.0 {
+                idx[n] = i;
+                thr[n] = Rng64::bernoulli_threshold(p as f64);
+                n += 1;
+            }
+        }
+        n
     }
 
     fn update_stochastic(&mut self, delta: &[f32], xa: &[f32], lr: f32, bl: u32) {
         // Choose pulse probabilities so the expected coincidence count
         // yields the SGD step: E[Δw_ij] = −lr·d_i·x_j. All staging
-        // buffers come from the scratch pools (and the per-row RNG
-        // vector reuses its retained capacity), so a steady-state
-        // training step performs no heap allocation here.
+        // buffers come from the scratch pools (and the row-seed vector
+        // reuses its retained capacity), so a steady-state training step
+        // performs no heap allocation here.
         let amp = (lr / (bl as f32 * self.dw_avg)).sqrt();
-        let rows = delta.len();
-        let cols = xa.len();
-        let mut p_row = enw_parallel::scratch::take_f32(rows);
-        for (p, d) in p_row.iter_mut().zip(delta) {
-            *p = (amp * d.abs()).min(1.0);
-        }
-        let mut p_col = enw_parallel::scratch::take_f32(cols);
-        for (p, x) in p_col.iter_mut().zip(xa) {
-            *p = (amp * x.abs()).min(1.0);
-        }
+        let (rows, cols) = (delta.len(), xa.len());
+        let mut row_idx = enw_parallel::scratch::take_usize(rows);
+        let mut row_thr = enw_parallel::scratch::take_bits(rows);
+        let n_rows = Self::active_lines(delta, amp, &mut row_idx, &mut row_thr);
+        let mut col_idx = enw_parallel::scratch::take_usize(cols);
+        let mut col_thr = enw_parallel::scratch::take_bits(cols);
+        let n_cols = Self::active_lines(xa, amp, &mut col_idx, &mut col_thr);
+        let active_rows = row_idx[..n_rows].iter().zip(&row_thr[..n_rows]);
+        let active_cols = col_idx[..n_cols].iter().zip(&col_thr[..n_cols]);
         // Phase 1 (serial): draw the row/column pulse trains for every
         // bit-line step with the tile RNG, exactly as the hardware fires
-        // them — rows then columns per step. Row firings land in a limb
-        // bitset; column firings are index lists flattened into one
-        // scratch buffer (`col_fired[s*cols..]`, `col_count[s]` live).
+        // them — active rows then active columns per step. Row firings
+        // land in a row-major bitset (`words` limbs of step bits per
+        // row); column firings are index lists flattened into one
+        // scratch buffer (`col_fired[s*n_cols..]`, `col_count[s]` live),
+        // and `live` marks the steps on which any column fired.
         let bl = bl as usize;
-        let mut row_fired = enw_parallel::scratch::take_bits((bl * rows).div_ceil(64));
-        let mut col_fired = enw_parallel::scratch::take_usize(bl * cols);
+        let words = bl.div_ceil(64);
+        let mut row_steps = enw_parallel::scratch::take_bits(rows * words);
+        let mut live = enw_parallel::scratch::take_bits(words);
+        let mut col_fired = enw_parallel::scratch::take_usize(bl * n_cols);
         let mut col_count = enw_parallel::scratch::take_usize(bl);
+        let mut rng = self.rng.clone();
+        let mut any_row = 0u64;
         for s in 0..bl {
-            for (i, &p) in p_row.iter().enumerate() {
-                if p > 0.0 && self.rng.bernoulli(p as f64) {
-                    Self::set_bit(&mut row_fired, s * rows + i);
-                }
+            let (word, bit) = (s / 64, s % 64);
+            for (&i, &t) in active_rows.clone() {
+                let hit = u64::from(rng.bernoulli_below(t));
+                row_steps[i * words + word] |= hit << bit;
+                any_row |= hit;
             }
-            let step_cols = &mut col_fired[s * cols..(s + 1) * cols];
+            let step_cols = &mut col_fired[s * n_cols..(s + 1) * n_cols];
             let mut fired = 0;
-            for (j, &p) in p_col.iter().enumerate() {
-                if p > 0.0 && self.rng.bernoulli(p as f64) {
-                    step_cols[fired] = j;
-                    fired += 1;
-                }
+            for (&j, &t) in active_cols.clone() {
+                // Written unconditionally, kept only on a hit.
+                step_cols[fired] = j;
+                fired += usize::from(rng.bernoulli_below(t));
             }
             col_count[s] = fired;
+            live[word] |= u64::from(fired > 0) << bit;
+        }
+        // One seed per row, drawn serially in row order whether or not
+        // the row fires: the row's pulse stream is `Rng64::new(seed)`.
+        self.row_seeds.clear();
+        self.row_seeds.extend((0..rows).map(|_| rng.next_u64()));
+        self.rng = rng;
+        if any_row == 0 || live.iter().all(|&w| w == 0) {
+            return;
         }
         // Phase 2 (parallel over rows): every coincidence on row i only
         // touches devices in row i, so rows are independent given their
-        // own RNG stream. Forking one stream per row from the tile RNG
-        // (serially, in row order) makes the result identical for any
-        // worker count — and identical to running the loop serially.
-        self.row_rngs.clear();
-        for _ in 0..rows {
-            let fork = self.rng.fork();
-            self.row_rngs.push(fork);
-        }
-        let row_rngs = &self.row_rngs;
-        let (row_fired, col_fired, col_count) = (&*row_fired, &*col_fired, &*col_count);
-        let drop_connect = self.cfg.drop_connect;
+        // own RNG stream, and the result is identical for any worker
+        // count — and identical to running the loop serially. A row's
+        // stream is built only if it has a coincidence.
+        let seeds = &self.row_seeds;
+        let (row_steps, live) = (&*row_steps, &*live);
+        let (col_fired, col_count) = (&*col_fired, &*col_count);
+        let dropping = self.cfg.drop_connect > 0.0;
+        let drop_t = Rng64::bernoulli_threshold(self.cfg.drop_connect as f64);
         let pulses = self.array.par_pulse_by_row(PAR_UPDATE_ROW_CHUNK, |r, pulser| {
-            let mut rng = row_rngs[r].clone();
+            let steps = &row_steps[r * words..(r + 1) * words];
+            if steps.iter().zip(live).all(|(&a, &l)| a & l == 0) {
+                return 0;
+            }
+            let mut rng = Rng64::new(seeds[r]);
             let di = delta[r];
             let mut fired = 0u64;
-            for s in 0..bl {
-                if !Self::get_bit(row_fired, s * rows + r) {
-                    continue;
-                }
-                for &j in &col_fired[s * cols..s * cols + col_count[s]] {
-                    if drop_connect > 0.0 && rng.bernoulli(drop_connect as f64) {
-                        continue;
+            for (word, (&a, &l)) in steps.iter().zip(live).enumerate() {
+                let mut hits = a & l;
+                while hits != 0 {
+                    let s = word * 64 + hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    for &j in &col_fired[s * n_cols..s * n_cols + col_count[s]] {
+                        if dropping && rng.bernoulli_below(drop_t) {
+                            continue;
+                        }
+                        // Δw should be −lr·d·x: step up when d·x < 0.
+                        let dir = if di * xa[j] < 0.0 { PulseDir::Up } else { PulseDir::Down };
+                        pulser.pulse(j, dir, &mut rng);
+                        fired += 1;
                     }
-                    // Δw should be −lr·d·x: step up when d·x < 0.
-                    let dir = if di * xa[j] < 0.0 { PulseDir::Up } else { PulseDir::Down };
-                    pulser.pulse(j, dir, &mut rng);
-                    fired += 1;
                 }
             }
             fired
@@ -666,7 +689,7 @@ mod tests {
     #[test]
     fn stochastic_update_is_thread_count_invariant() {
         // Noisy devices + drop-connect exercise every RNG consumer in the
-        // update; per-row forked streams must make the final weights and
+        // update; per-row seeded streams must make the final weights and
         // pulse counts bitwise independent of the worker count.
         let make = || {
             let mut rng = Rng64::new(21);

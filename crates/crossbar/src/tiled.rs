@@ -293,10 +293,7 @@ impl TiledAnalogLayer {
             let words = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
             let has_spare = r.flag()?;
             let spare = r.u64()?;
-            cell.tile.restore_rng(RngState {
-                words,
-                gauss_spare_bits: has_spare.then_some(spare),
-            });
+            cell.tile.restore_rng(RngState { words, gauss_spare_bits: has_spare.then_some(spare) });
             let pulse_count = r.u64()?;
             let stats = TileStats {
                 forward_ops: r.u64()?,
@@ -350,7 +347,12 @@ impl LinearBackend for TiledAnalogLayer {
             }
         }
         let partials = self.cells.iter().map(|c| c.fwd.len() as u64).sum::<u64>();
-        enw_trace::record_span_io("crossbar/tiled/reduce", partials, 4 * partials, 4 * out.len() as u64);
+        enw_trace::record_span_io(
+            "crossbar/tiled/reduce",
+            partials,
+            4 * partials,
+            4 * out.len() as u64,
+        );
     }
 
     // enw:hot
@@ -376,7 +378,12 @@ impl LinearBackend for TiledAnalogLayer {
             }
         }
         let partials = self.cells.iter().map(|c| c.bwd.len() as u64).sum::<u64>();
-        enw_trace::record_span_io("crossbar/tiled/reduce", partials, 4 * partials, 4 * out.len() as u64);
+        enw_trace::record_span_io(
+            "crossbar/tiled/reduce",
+            partials,
+            4 * partials,
+            4 * out.len() as u64,
+        );
     }
 
     fn update(&mut self, delta: &[f32], x: &[f32], lr: f32) {
@@ -425,8 +432,14 @@ mod tests {
     fn rejects_degenerate_configs() {
         let mut rng = Rng64::new(1);
         let spec = devices::ideal(1000);
-        let bad_dim =
-            TiledAnalogLayer::new(0, 4, &spec, TileConfig::ideal(), TilingConfig::default(), &mut rng);
+        let bad_dim = TiledAnalogLayer::new(
+            0,
+            4,
+            &spec,
+            TileConfig::ideal(),
+            TilingConfig::default(),
+            &mut rng,
+        );
         assert!(matches!(bad_dim, Err(CrossbarError::InvalidConfig { .. })));
         let bad_tile = TiledAnalogLayer::new(
             4,

@@ -655,7 +655,12 @@ mod tests {
         }
     }
 
-    fn digital_conv(in_shape: MapShape, oc: usize, k: usize, seed: u64) -> ConvLayer<DigitalLinear> {
+    fn digital_conv(
+        in_shape: MapShape,
+        oc: usize,
+        k: usize,
+        seed: u64,
+    ) -> ConvLayer<DigitalLinear> {
         let mut rng = Rng64::new(seed);
         let backend = DigitalLinear::new(in_shape.channels * k * k, oc, &mut rng);
         ConvLayer::new(in_shape, oc, k, backend)

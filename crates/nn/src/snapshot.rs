@@ -63,6 +63,14 @@ pub enum SnapshotError {
         /// Value the restoring object expects.
         expected: u64,
     },
+    /// A recorded value is not valid for the restoring object: an index
+    /// out of range, or an index repeated where a permutation is expected.
+    InvalidValue {
+        /// What value was invalid.
+        what: &'static str,
+        /// Value recorded in the checkpoint.
+        recorded: u64,
+    },
     /// Bytes were left over after a restore consumed its state.
     TrailingBytes {
         /// Number of unconsumed bytes.
@@ -84,6 +92,9 @@ impl fmt::Display for SnapshotError {
             ),
             SnapshotError::ShapeMismatch { what, recorded, expected } => {
                 write!(f, "checkpoint {what} mismatch: recorded {recorded}, expected {expected}")
+            }
+            SnapshotError::InvalidValue { what, recorded } => {
+                write!(f, "checkpoint has an invalid {what}: recorded {recorded}")
             }
             SnapshotError::TrailingBytes { remaining } => {
                 write!(f, "checkpoint has {remaining} trailing bytes")

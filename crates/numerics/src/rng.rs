@@ -112,6 +112,29 @@ impl Rng64 {
         self.uniform() < p
     }
 
+    /// Integer form of [`bernoulli`](Rng64::bernoulli) for hot loops that
+    /// draw many times against one probability: `threshold` comes from
+    /// [`bernoulli_threshold`](Rng64::bernoulli_threshold)`(p)`, and the
+    /// call consumes one draw and returns exactly what `bernoulli(p)`
+    /// returns from the same state.
+    ///
+    /// The identity: `uniform()` is `k · 2^-53` with `k = next_u64() >> 11`,
+    /// so `uniform() < p` is `k < p · 2^53` (scaling by a power of two is
+    /// exact), and for an integer `k` that is `k < ceil(p · 2^53)`.
+    #[inline]
+    pub fn bernoulli_below(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
+    }
+
+    /// The threshold [`bernoulli_below`](Rng64::bernoulli_below) compares
+    /// against: `ceil(p · 2^53)`. The saturating float-to-integer cast maps
+    /// `p <= 0` and NaN to 0 (never true) and `p >= 1` to at least `2^53`
+    /// (always true), matching `bernoulli` at every `p`.
+    #[inline]
+    pub fn bernoulli_threshold(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
     /// Returns a standard normal (mean 0, variance 1) sample via Box–Muller.
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
@@ -175,10 +198,7 @@ impl Rng64 {
 
     /// Rebuilds a generator from a captured [`RngState`].
     pub fn restore(state: RngState) -> Rng64 {
-        Rng64 {
-            state: state.words,
-            gauss_spare: state.gauss_spare_bits.map(f64::from_bits),
-        }
+        Rng64 { state: state.words, gauss_spare: state.gauss_spare_bits.map(f64::from_bits) }
     }
 }
 
@@ -367,6 +387,49 @@ mod tests {
         let mut rng = Rng64::new(6);
         assert!(!(0..100).any(|_| rng.bernoulli(0.0)));
         assert!((0..100).all(|_| rng.bernoulli(1.0)));
+    }
+
+    #[test]
+    fn bernoulli_threshold_matches_bernoulli() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE,
+            ulp,
+            2.0 * ulp,
+            0.5,
+            0.5 + ulp,
+            0.5 - ulp,
+            1.0 - ulp,
+            1.0 - 1.0 / (1u64 << 24) as f64,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+        ];
+        for p in edges {
+            let t = Rng64::bernoulli_threshold(p);
+            // The raw outputs either side of the threshold, plus 0 and the
+            // largest 53-bit value, fed through both forms.
+            for k in [0, 1, t.saturating_sub(1), t, t.saturating_add(1), (1u64 << 53) - 1] {
+                let k = k.min((1u64 << 53) - 1);
+                let u = k as f64 * ulp;
+                assert_eq!(k < t, u < p, "p {p:e}, k {k}, threshold {t}");
+            }
+        }
+        let mut probs = Rng64::new(12);
+        let (mut a, mut b) = (Rng64::new(13), Rng64::new(13));
+        for _ in 0..20_000 {
+            // Probabilities as the pulse update forms them: f32 values
+            // widened to f64, plus uniform f64s.
+            let p = if probs.below(2) == 0 { probs.uniform_f32() as f64 } else { probs.uniform() };
+            let t = Rng64::bernoulli_threshold(p);
+            assert_eq!(a.bernoulli(p), b.bernoulli_below(t), "p {p:e}");
+        }
+        assert_eq!(a, b, "both forms consume one draw each");
     }
 
     #[test]
